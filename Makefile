@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify race golden fmt-check pfvet pfvet-sarif fuzz-smoke bench-parallel bench-physical bench-morsel bench-morsel-smoke bench-service bench-store bench-plan bench-plan-smoke bench-fusion bench-fusion-smoke service-smoke store-smoke
+.PHONY: build test verify race golden fmt-check pfvet pfvet-sarif fuzz-smoke bench-parallel bench-morsel bench-morsel-smoke bench-service bench-store bench-fusion bench-fusion-smoke service-smoke store-smoke
 
 build:
 	$(GO) build ./...
@@ -63,12 +63,6 @@ golden:
 bench-parallel:
 	$(GO) run ./cmd/xmarkbench -report parallel -sfs 0.1 -workers 8 -v
 
-# Legacy-interpreter-vs-physical-executor comparison; writes
-# BENCH_physical.json (doubles as a differential check: every query's
-# output is compared byte-for-byte).
-bench-physical:
-	$(GO) run ./cmd/xmarkbench -report physical -sfs 0.1 -v
-
 # Intra-operator morsel parallelism sweep vs the single-worker physical
 # executor; writes BENCH_morsel.json with per-query morsel counts.
 # -gomaxprocs 0 keeps the host's setting; raise it explicitly when the
@@ -99,19 +93,6 @@ service-smoke:
 # (cpu_caveat-stamped on single-CPU hosts).
 bench-store:
 	$(GO) run ./cmd/xmarkbench -report store -sfs 0.1 -v
-
-# Optimizer pipeline benchmark: per-query operator counts and rows
-# materialized before/after the staged pipeline (vs the single-shot
-# peephole), both plans executed and byte-compared; writes
-# BENCH_plan.json (cpu_caveat-stamped on single-CPU hosts).
-bench-plan:
-	$(GO) run ./cmd/xmarkbench -report plan -sfs 0.1 -v
-
-# CI smoke: a tiny instance — any output mismatch between the peephole
-# and pipeline plans, or a pipeline plan larger than its peephole
-# counterpart, fails the run.
-bench-plan-smoke:
-	$(GO) run ./cmd/xmarkbench -report plan -sfs 0.01 -repeat 2 -plan-out BENCH_plan_smoke.json
 
 # Fused-chain executor benchmark: identical optimized plans run with
 # fused chains as single vectorized loops vs one kernel at a time,

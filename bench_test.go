@@ -217,7 +217,7 @@ func BenchmarkStaircaseVsNaive(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizerOnOff ablates the peephole optimizer [5] on the
+// BenchmarkOptimizerOnOff ablates the optimizer (opt.Optimize) on the
 // join-heavy Q8 plan.
 func BenchmarkOptimizerOnOff(b *testing.B) {
 	for _, optimize := range []bool{true, false} {

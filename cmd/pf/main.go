@@ -49,7 +49,6 @@ func main() {
 		queryFile   = flag.String("f", "", "read the query from a file")
 		show        = flag.String("show", "result", "what to print: result, trace, explain, core, plan, opt, mil, sql, dot, physical, hist")
 		noOpt       = flag.Bool("noopt", false, "skip the optimizer entirely")
-		noPipeline  = flag.Bool("no-opt-pipeline", false, "use the legacy single-shot peephole optimizer (no staged pipeline / join graph isolation)")
 		naive       = flag.Bool("naive", false, "disable the staircase join (tree-unaware axis evaluation)")
 		workers     = flag.Int("workers", engine.EnvWorkers(), "shared worker budget for the DAG scheduler and morsel teams (0 = GOMAXPROCS, 1 = sequential; also via PF_WORKERS)")
 		morselRows  = flag.Int("morsel-rows", 0, "morsel granularity for intra-operator parallelism (0 = default, <0 = disable)")
@@ -62,7 +61,7 @@ func main() {
 
 	cat := openCatalog(*storeDir, *collection)
 	if *interactive {
-		repl(*docPath, cat, *collection, *naive, *noOpt, *noPipeline, *noFusion, *workers)
+		repl(*docPath, cat, *collection, *naive, *noOpt, *noFusion, *workers)
 		return
 	}
 	query := ""
@@ -98,17 +97,11 @@ func main() {
 	}
 	var optTrace string
 	if !*noOpt {
-		if *noPipeline {
-			if plan, err = opt.Peephole(plan); err != nil {
-				fatal("optimize: %v", err)
-			}
-		} else {
-			res, err := opt.Pipeline(plan)
-			if err != nil {
-				fatal("optimize: %v", err)
-			}
-			plan, optTrace = res.Plan, res.TraceString()
+		res, err := opt.Pipeline(plan)
+		if err != nil {
+			fatal("optimize: %v", err)
 		}
+		plan, optTrace = res.Plan, res.TraceString()
 	}
 	if *checkPlans {
 		if diags := check.Plan(plan); len(diags) > 0 {
@@ -308,7 +301,7 @@ func bindCollection(eng *engine.Engine, collection string) *engine.Engine {
 // their own ad hoc queries", §4): the store persists across queries, so
 // documents load once and constructed fragments accumulate like in a
 // session against a running server.
-func repl(docPath string, cat *pfstore.Catalog, collection string, naive, noOpt, noPipeline, noFusion bool, workers int) {
+func repl(docPath string, cat *pfstore.Catalog, collection string, naive, noOpt, noFusion bool, workers int) {
 	eng := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: workers, NoFusion: noFusion, Catalog: cat})
 	eng.Staircase = !naive
 	eng.Resolve = fileResolver(docPath)
@@ -330,7 +323,7 @@ func repl(docPath string, cat *pfstore.Catalog, collection string, naive, noOpt,
 			return
 		}
 		start := time.Now()
-		out, err := runOnce(line, eng, opts, noOpt, noPipeline)
+		out, err := runOnce(line, eng, opts, noOpt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 		} else {
@@ -341,17 +334,13 @@ func repl(docPath string, cat *pfstore.Catalog, collection string, naive, noOpt,
 	}
 }
 
-func runOnce(query string, eng *engine.Engine, opts xqcore.Options, noOpt, noPipeline bool) (string, error) {
+func runOnce(query string, eng *engine.Engine, opts xqcore.Options, noOpt bool) (string, error) {
 	plan, _, err := core.CompileQuery(query, opts)
 	if err != nil {
 		return "", err
 	}
 	if !noOpt {
-		optimize := opt.Optimize
-		if noPipeline {
-			optimize = opt.Peephole
-		}
-		if plan, err = optimize(plan); err != nil {
+		if plan, err = opt.Optimize(plan); err != nil {
 			return "", err
 		}
 	}

@@ -37,7 +37,7 @@ func main() {
 		ctxDoc  = flag.String("doc", "", "document bound to absolute paths")
 		coll    = flag.String("collection", "", "named collection from the server's -store catalog; ships the query as source instead of a MIL plan")
 		showMIL = flag.Bool("mil", false, "print the shipped MIL program to stderr")
-		noOpt   = flag.Bool("noopt", false, "skip the peephole optimizer")
+		noOpt   = flag.Bool("noopt", false, "skip the optimizer")
 	)
 	flag.Parse()
 

@@ -11,16 +11,10 @@
 //	xmarkbench -report storage
 //	xmarkbench -report all -queries 8,9,10,11,12
 //
-// The parallel report compares the sequential evaluator against the
+// The parallel report compares the sequential executor against the
 // parallel DAG scheduler and records the speedups as JSON:
 //
 //	xmarkbench -report parallel -sfs 0.1 -workers 8 -parallel-out BENCH_parallel.json
-//
-// The physical report compares the legacy sequential interpreter against
-// the physical-plan executor (typed kernels + selection vectors + the
-// parallel scheduler):
-//
-//	xmarkbench -report physical -sfs 0.1 -workers 8 -physical-out BENCH_physical.json
 //
 // The morsel report sweeps intra-operator worker counts against the
 // single-worker physical executor, recording per-query morsel counts.
@@ -34,13 +28,6 @@
 // check on both stores:
 //
 //	xmarkbench -report store -sfs 0.1 -store-out BENCH_store.json
-//
-// The plan report measures the staged optimizer pipeline against the
-// single-shot peephole: per-query operator counts and rows materialized
-// by the physical executor before/after, executing both plans and
-// comparing outputs byte-for-byte:
-//
-//	xmarkbench -report plan -sfs 0.1 -plan-out BENCH_plan.json
 //
 // The fusion report measures fused-chain execution against per-operator
 // execution of the identical optimized plans (the -no-fusion executor
@@ -64,15 +51,14 @@ import (
 
 func main() {
 	var (
-		report   = flag.String("report", "all", "table3, figure4, storage, csv, parallel, physical, morsel, plan, fusion, store, or all")
+		report   = flag.String("report", "all", "table3, figure4, storage, csv, parallel, morsel, fusion, store, or all")
 		sfsFlag  = flag.String("sfs", "0.002,0.02,0.2", "comma-separated scale factors (parallel report uses the first)")
 		queries  = flag.String("queries", "", "comma-separated query numbers (default all 20)")
 		budget   = flag.Duration("budget", 30*time.Second, "per-query time budget before DNF")
 		baseline = flag.Bool("baseline", true, "run the navigational baseline too")
-		optimize = flag.Bool("opt", true, "run plans through the peephole optimizer")
+		optimize = flag.Bool("opt", true, "run plans through the staged optimizer pipeline (opt.Optimize)")
 		workers  = flag.Int("workers", engine.EnvWorkers(), "engine worker pool size (0 = GOMAXPROCS; also via PF_WORKERS)")
 		parOut   = flag.String("parallel-out", "BENCH_parallel.json", "where -report parallel writes its JSON record")
-		physOut  = flag.String("physical-out", "BENCH_physical.json", "where -report physical writes its JSON record")
 		repeat   = flag.Int("repeat", 3, "parallel report: timing repetitions (best-of)")
 		verbose  = flag.Bool("v", false, "progress output on stderr")
 
@@ -82,7 +68,6 @@ func main() {
 		morselRows = flag.Int("morsel-rows", 0, "morsel granularity in rows (0 = engine default)")
 
 		storeOut  = flag.String("store-out", "BENCH_store.json", "where -report store writes its JSON record")
-		planOut   = flag.String("plan-out", "BENCH_plan.json", "where -report plan writes its JSON record")
 		fusionOut = flag.String("fusion-out", "BENCH_fusion.json", "where -report fusion writes its JSON record")
 	)
 	flag.Parse()
@@ -214,42 +199,6 @@ func main() {
 		return
 	}
 
-	if *report == "plan" {
-		res, err := bench.RunPlan(bench.PlanConfig{
-			SF: sfs[0], Queries: qs, Repeat: *repeat, Verbose: logf,
-		})
-		if err != nil {
-			fatal("%v", err)
-		}
-		if res.CPUCaveat != "" {
-			fmt.Fprintf(os.Stderr, "xmarkbench: WARNING: %s\n", res.CPUCaveat)
-		}
-		fmt.Println(res.PlanTable())
-		payload, err := res.JSON()
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := os.WriteFile(*planOut, append(payload, '\n'), 0o644); err != nil {
-			fatal("write %s: %v", *planOut, err)
-		}
-		fmt.Printf("wrote %s\n", *planOut)
-		// The report doubles as a differential + regression check: a
-		// pipeline plan that errors, answers differently, or grew over
-		// the peephole fails the run (and with it the CI smoke step).
-		for _, c := range res.Queries {
-			if c.Err != "" {
-				fatal("Q%d: %s", c.Query, c.Err)
-			}
-			if !c.Match {
-				fatal("Q%d: pipeline plan output differs from peephole plan", c.Query)
-			}
-			if c.OpsAfter > c.OpsBefore {
-				fatal("Q%d: pipeline grew the plan over peephole: %d -> %d", c.Query, c.OpsBefore, c.OpsAfter)
-			}
-		}
-		return
-	}
-
 	if *report == "fusion" {
 		res, err := bench.RunFusion(bench.FusionConfig{
 			SF: sfs[0], Queries: qs, Repeat: *repeat, Verbose: logf,
@@ -297,26 +246,6 @@ func main() {
 					c.Name, c.RowsMatFused, c.RowsMatUnfused)
 			}
 		}
-		return
-	}
-
-	if *report == "physical" {
-		res, err := bench.RunPhysical(bench.ParallelConfig{
-			SF: sfs[0], Queries: qs, Workers: *workers,
-			Repeat: *repeat, Optimize: *optimize, Verbose: logf,
-		})
-		if err != nil {
-			fatal("%v", err)
-		}
-		fmt.Println(res.PhysicalTable())
-		payload, err := res.JSON()
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := os.WriteFile(*physOut, append(payload, '\n'), 0o644); err != nil {
-			fatal("write %s: %v", *physOut, err)
-		}
-		fmt.Printf("wrote %s\n", *physOut)
 		return
 	}
 

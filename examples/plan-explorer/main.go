@@ -5,7 +5,7 @@
 //
 // Prints every compilation stage: the type-annotated XQuery Core
 // equivalent, the loop-lifted relational plan (Figure 5's DAG), the
-// peephole-optimized plan, its Graphviz rendering, and the MIL program
+// optimized plan, its Graphviz rendering, and the MIL program
 // shipped to the back end.
 package main
 
@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("== after peephole optimization (%d operators) ==\n",
+	fmt.Printf("== after optimization (%d operators) ==\n",
 		algebra.CountOps(oplan))
 	fmt.Println(algebra.TreeString(oplan))
 

@@ -165,41 +165,3 @@ func TestRunMorselTiny(t *testing.T) {
 		}
 	}
 }
-
-func TestRunPlanTiny(t *testing.T) {
-	res, err := RunPlan(PlanConfig{
-		SF:      0.005,
-		Queries: []int{1, 8, 10},
-		Repeat:  1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Queries) != 3 {
-		t.Fatalf("shape: %d cells", len(res.Queries))
-	}
-	for _, c := range res.Queries {
-		if c.Err != "" {
-			t.Errorf("Q%d: %s", c.Query, c.Err)
-			continue
-		}
-		if !c.Match {
-			t.Errorf("Q%d: pipeline output differs from peephole", c.Query)
-		}
-		if c.OpsAfter >= c.OpsBefore {
-			t.Errorf("Q%d: pipeline saved nothing: %d -> %d", c.Query, c.OpsBefore, c.OpsAfter)
-		}
-		if c.Rounds < 1 {
-			t.Errorf("Q%d: trace shows no pipeline rounds", c.Query)
-		}
-		if c.RowsMatBefore <= 0 || c.RowsMatAfter <= 0 {
-			t.Errorf("Q%d: rows-materialized not recorded (%d, %d)", c.Query, c.RowsMatBefore, c.RowsMatAfter)
-		}
-	}
-	table := res.PlanTable()
-	for _, want := range []string{"ops before", "rowsmat", "total operators"} {
-		if !strings.Contains(table, want) {
-			t.Errorf("table missing %q:\n%s", want, table)
-		}
-	}
-}

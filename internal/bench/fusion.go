@@ -259,6 +259,34 @@ func timeEvalPaired(unfused, fused *engine.Engine, plan *algebra.Op, repeat int)
 	return unfOut, fusOut, unfBest, fusBest, nil
 }
 
+// planCPUCaveat explains why wall times recorded on this host are noisy,
+// or returns "" when they are trustworthy. The operator counts and
+// rows-materialized columns are exact plan/execution facts and survive
+// any host; only the milliseconds need the caveat — on one core both
+// plans time-slice the same CPU, so the before/after ratio stays
+// comparable but the absolute numbers are not dedicated-hardware ones.
+func planCPUCaveat(numCPU int) string {
+	if numCPU <= 1 {
+		return fmt.Sprintf("num_cpu=%d: single-CPU host; absolute wall times time-slice one core and are noisier than on dedicated hardware (operator counts and rows-materialized are exact; the before/after time ratio remains comparable)", numCPU)
+	}
+	return ""
+}
+
+// rowsMaterialized executes the plan once with full instrumentation and
+// sums the rows every kernel materialized (summation is order-free, so
+// ranging over the stats map is fine).
+func rowsMaterialized(eng *engine.Engine, plan *algebra.Op) (int64, error) {
+	_, tr, err := eng.EvalTrace(context.Background(), plan)
+	if err != nil {
+		return 0, err
+	}
+	var total int64
+	for _, st := range tr.Stats {
+		total += int64(st.RowsMat)
+	}
+	return total, nil
+}
+
 // fusedTraceCounts executes the plan once instrumented on the fused
 // engine and returns the total rows materialized plus the number of
 // distinct chains that actually ran fused (summation and set counting

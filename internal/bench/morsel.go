@@ -27,7 +27,7 @@ type MorselConfig struct {
 	Repeat     int     // timing repetitions, best-of; 0 = 3
 	MorselRows int     // morsel granularity; 0 = engine default
 	GOMAXPROCS int     // when > 0, raise runtime.GOMAXPROCS first
-	Optimize   bool    // run plans through the peephole optimizer
+	Optimize   bool    // run plans through the staged optimizer pipeline (opt.Optimize)
 	Verbose    func(format string, args ...any)
 }
 

@@ -24,7 +24,7 @@ type ParallelConfig struct {
 	Queries  []int   // query numbers; nil = all 20
 	Workers  int     // parallel pool size; 0 = GOMAXPROCS
 	Repeat   int     // timing repetitions, best-of; 0 = 3
-	Optimize bool    // run plans through the peephole optimizer
+	Optimize bool    // run plans through the staged optimizer pipeline (opt.Optimize)
 	Verbose  func(format string, args ...any)
 }
 
@@ -52,7 +52,7 @@ type ParallelResults struct {
 }
 
 // RunParallel generates one XMark instance and times every configured
-// query twice: on the sequential recursive evaluator (Workers=1) and on
+// query twice: on the sequential physical executor (Workers=1) and on
 // the parallel DAG scheduler with the fallback disabled. Both results are
 // serialized and compared byte-for-byte, so the benchmark doubles as a
 // differential check.

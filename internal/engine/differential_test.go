@@ -1,9 +1,10 @@
 package engine_test
 
-// Differential harness for the parallel DAG scheduler: every XMark query
-// and the Table 2 dialect corpus run through (a) the sequential evaluator,
-// (b) the parallel scheduler with the fallback disabled, and (c) the
-// navigational baseline, and all serialized results must be byte-identical.
+// Differential harness for the physical executor: every XMark query and
+// the Table 2 dialect corpus run through (a) the sequential physical
+// executor, (b) the parallel scheduler with the fallback disabled, and
+// (c) the navigational baseline, on plain and optimized plans, and all
+// serialized results must be byte-identical.
 
 import (
 	"sync"
@@ -30,8 +31,8 @@ const auctionDoc = corpus.AuctionDoc
 
 var dialectQueries = corpus.Dialect
 
-// seqEngine returns an engine pinned to the sequential recursive
-// evaluator, with runtime invariant checking on.
+// seqEngine returns an engine pinned to the sequential physical
+// executor (a single worker), with runtime invariant checking on.
 func seqEngine(t *testing.T, uri, doc string) *engine.Engine {
 	t.Helper()
 	e := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: 1, Check: true})
@@ -76,7 +77,7 @@ func runOptimized(t *testing.T, src string, eng *engine.Engine, opts xqcore.Opti
 }
 
 // TestXMarkParallelDifferential runs all 20 XMark queries over the same
-// generated instance through the sequential evaluator, the parallel
+// generated instance through the sequential executor, the parallel
 // scheduler, and the navigational baseline.
 func TestXMarkParallelDifferential(t *testing.T) {
 	doc := xmark.GenerateString(diffSF)
@@ -143,13 +144,15 @@ func TestDialectParallelDifferential(t *testing.T) {
 		if seqOut != nav {
 			t.Errorf("%s:\n rel = %q\n nav = %q", src, seqOut, nav)
 		}
-		optPar, err := runOptimized(t, src, par, opts)
-		if err != nil {
-			t.Errorf("%s: optimized parallel: %v", src, err)
+		optSeq, errOS := runOptimized(t, src, seq, opts)
+		optPar, errOP := runOptimized(t, src, par, opts)
+		if errOS != nil || errOP != nil {
+			t.Errorf("%s: optimized: seq err=%v, par err=%v", src, errOS, errOP)
 			continue
 		}
-		if optPar != seqOut {
-			t.Errorf("%s: optimized parallel drifted:\n plain = %q\n opt   = %q", src, seqOut, optPar)
+		if optSeq != seqOut || optPar != seqOut {
+			t.Errorf("%s: optimized results drifted:\n plain   = %q\n opt seq = %q\n opt par = %q",
+				src, seqOut, optSeq, optPar)
 		}
 	}
 }
@@ -207,88 +210,6 @@ func TestSharedPlanConcurrentEval(t *testing.T) {
 		}
 		if outs[g] != want {
 			t.Errorf("goroutine %d: result drifted:\n want %q\n got  %q", g, want, outs[g])
-		}
-	}
-}
-
-// legacyEngine returns an engine pinned to the pre-physical recursive
-// interpreter over the logical algebra — the reference semantics the
-// physical executor is differenced against.
-func legacyEngine(t *testing.T, uri, doc string) *engine.Engine {
-	t.Helper()
-	e := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: 1, Legacy: true, Check: true})
-	if _, err := e.Store.LoadDocumentString(uri, doc); err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
-// TestXMarkPhysicalDifferential runs all 20 XMark queries through the
-// legacy interpreter, the sequential physical executor, and the parallel
-// physical executor, requiring byte-identical serialized output — both on
-// plain plans (via core.Run) and on optimized plans (where the lowering
-// pass actually picks merge/presorted/const1 kernels).
-func TestXMarkPhysicalDifferential(t *testing.T) {
-	doc := xmark.GenerateString(diffSF)
-	leg := legacyEngine(t, "xmark.xml", doc)
-	seq := seqEngine(t, "xmark.xml", doc)
-	par := parEngine(t, "xmark.xml", doc)
-	opts := xqcore.Options{ContextDoc: "xmark.xml"}
-
-	for n := 1; n <= xmark.NumQueries; n++ {
-		src := xmark.Query(n)
-		legOut, errL := core.Run(src, leg, opts)
-		seqOut, errS := core.Run(src, seq, opts)
-		parOut, errP := core.Run(src, par, opts)
-		if errL != nil || errS != nil || errP != nil {
-			t.Errorf("Q%d: legacy err=%v, phys-seq err=%v, phys-par err=%v", n, errL, errS, errP)
-			continue
-		}
-		if seqOut != legOut || parOut != legOut {
-			t.Errorf("Q%d: physical output differs from legacy:\n legacy   = %.400q\n phys seq = %.400q\n phys par = %.400q",
-				n, legOut, seqOut, parOut)
-		}
-		optLeg, errOL := runOptimized(t, src, leg, opts)
-		optSeq, errOS := runOptimized(t, src, seq, opts)
-		optPar, errOP := runOptimized(t, src, par, opts)
-		if errOL != nil || errOS != nil || errOP != nil {
-			t.Errorf("Q%d optimized: legacy err=%v, phys-seq err=%v, phys-par err=%v", n, errOL, errOS, errOP)
-			continue
-		}
-		if optSeq != optLeg || optPar != optLeg || optLeg != legOut {
-			t.Errorf("Q%d: optimized physical drifted:\n legacy   = %.400q\n phys seq = %.400q\n phys par = %.400q",
-				n, optLeg, optSeq, optPar)
-		}
-	}
-}
-
-// TestDialectPhysicalDifferential differences the Table 2 corpus between
-// the legacy interpreter and both physical executors.
-func TestDialectPhysicalDifferential(t *testing.T) {
-	leg := legacyEngine(t, "auction.xml", auctionDoc)
-	seq := seqEngine(t, "auction.xml", auctionDoc)
-	par := parEngine(t, "auction.xml", auctionDoc)
-	opts := xqcore.Options{ContextDoc: "auction.xml"}
-
-	for _, src := range dialectQueries {
-		legOut, errL := core.Run(src, leg, opts)
-		seqOut, errS := core.Run(src, seq, opts)
-		parOut, errP := core.Run(src, par, opts)
-		if errL != nil || errS != nil || errP != nil {
-			t.Errorf("%s: legacy err=%v, phys-seq err=%v, phys-par err=%v", src, errL, errS, errP)
-			continue
-		}
-		if seqOut != legOut || parOut != legOut {
-			t.Errorf("%s:\n legacy   = %q\n phys seq = %q\n phys par = %q", src, legOut, seqOut, parOut)
-		}
-		optLeg, errOL := runOptimized(t, src, leg, opts)
-		optSeq, errOS := runOptimized(t, src, seq, opts)
-		if errOL != nil || errOS != nil {
-			t.Errorf("%s: optimized: legacy err=%v, phys err=%v", src, errOL, errOS)
-			continue
-		}
-		if optSeq != optLeg {
-			t.Errorf("%s: optimized physical drifted:\n legacy = %q\n phys   = %q", src, optLeg, optSeq)
 		}
 	}
 }

@@ -140,10 +140,13 @@ func (e *Engine) physSequential(ctx context.Context, plan *physical.Plan, tr *Tr
 	return results[plan.Root].Materialize(), nil
 }
 
-// physParallel runs the physical DAG on the bounded worker pool — the
-// same scheduling algorithm as the logical evalParallel (topological
-// dependency counts, buffered ready queue, first-error cancellation),
-// with views instead of tables in the results slots.
+// physParallel runs the physical DAG on the bounded worker pool:
+// topological dependency counts, a buffered ready queue, and first-error
+// cancellation, with views in the results slots. Each slot is written by
+// exactly one worker before any consumer is released (the release
+// happens through an atomic dependency counter followed by a channel
+// send, both of which establish the necessary happens-before edges), so
+// the results need no lock of their own.
 func (e *Engine) physParallel(ctx context.Context, plan *physical.Plan, tr *Trace) (*bat.Table, error) {
 	units := e.planUnits(plan)
 	n := len(units)
@@ -505,8 +508,8 @@ func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.Vi
 
 // physFilter is σ as a selection-vector kernel: it narrows the input
 // view's selection without touching row data. Boolean columns take the
-// typed path (no per-row Item boxing); polymorphic item columns keep the
-// legacy per-row kind check and its error message. Both paths are
+// typed path (no per-row Item boxing); polymorphic item columns keep a
+// per-row kind check and its error message. Both paths are
 // embarrassingly morsel-parallel: each morsel filters its own view-row
 // range into a private buffer and the buffers concatenate in morsel
 // order, reproducing the sequential selection exactly.

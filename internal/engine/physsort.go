@@ -8,8 +8,8 @@ import (
 	"pathfinder/internal/bat"
 )
 
-// Typed comparators for the physical ϱ kernels. The legacy rowNumSort
-// boxes two Items and calls CompareTotal for every comparison — during
+// Typed comparators for the physical ϱ kernels. A boxed comparator
+// builds two Items and calls CompareTotal for every comparison — during
 // the sortedness scan and then O(n log n) more times inside the sort.
 // A typed column admits a monomorphic comparator over the raw slice;
 // each one reproduces CompareTotal's same-kind behavior exactly
@@ -48,9 +48,14 @@ func totalCmp(v bat.Vec) func(a, b int) int {
 	}
 }
 
-// physRowNumSort is rowNumSort with typed comparators: same sortedness
-// scan, same stable sort, same column-sharing fast path for inputs
-// already in (partition, order...) order.
+// physRowNumSort brings t into ϱ's (partition, order...) order with
+// typed comparators and reports whether the input was already sorted.
+// Sorted inputs are returned as a column-sharing slice (no row copies) —
+// the order-property fast path (the paper's [3]): loop-lifting emits many
+// ϱ operators over inputs that are already in numbering order, e.g. a
+// freshly stepped iter|item table, and a linear scan detects this and
+// skips the stable sort, the analogue of MonetDB's no-cost void
+// numbering.
 func physRowNumSort(t *bat.Table, order []algebra.OrderSpec, part string) (*bat.Table, bool, error) {
 	cmps := make([]func(a, b int) int, 0, len(order)+1)
 	descs := make([]bool, 0, len(order)+1)
@@ -105,7 +110,7 @@ func physRowNumSort(t *bat.Table, order []algebra.OrderSpec, part string) (*bat.
 // the int/float meet — is unchanged) without boxing a Key per row.
 // Group order stays first-occurrence; per-group aggregation reuses the
 // shared aggregate() so every diagnostic and promotion rule is the
-// legacy one. Non-int partitions fall back to the boxed grouping.
+// boxed one. Non-int partitions fall back to the boxed grouping.
 func physAggr(t *bat.Table, newCol string, agg algebra.AggKind, args []string, part, sep string) (*bat.Table, string, error) {
 	if part == "" {
 		out, err := evalAggr(t, newCol, agg, args, part, sep)
@@ -234,7 +239,9 @@ func physAggrMorsel(ms *morsels, t *bat.Table, newCol string, agg algebra.AggKin
 	return out, ":int", err
 }
 
-// physRowNumAttach is rowNumAttach with a typed partition-change test.
+// physRowNumAttach appends ϱ's numbering column to a table already in
+// (partition, order...) order, restarting at 1 on every partition change
+// (a typed partition-change test).
 func physRowNumAttach(out *bat.Table, newCol, part string) error {
 	nums := make(bat.IntVec, out.Rows())
 	var n int64

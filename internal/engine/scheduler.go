@@ -1,40 +1,37 @@
 package engine
 
 import (
-	"context"
-	"fmt"
 	"os"
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
 )
 
-// This file implements the parallel DAG scheduler: the loop-lifting
-// compiler emits plans whose independent subplans (the per-branch
-// document steps of a join query, the lifted arms of conditionals, the
-// aggregates of a constructor's attribute list) share nothing but their
-// leaves, and MonetDB's MIL interpreter would happily run them on one
-// core. Here each operator becomes a schedulable task: a topological
-// pass (algebra.Topo) assigns dependency counts, leaves enter a ready
-// queue, and a bounded worker pool drains it, releasing consumers as
-// their last input materializes. Every operator is applied exactly once
-// per evaluation — the scheduler inherits the DAG memoization of the
-// sequential evaluator by construction, since shared subplans are shared
-// *algebra.Op pointers and hence single scheduler nodes.
+// This file holds the parallel scheduler's shared pieces: the trace
+// records and the worker-pool sizing. The scheduler itself is
+// physParallel (physexec.go). The loop-lifting compiler emits plans whose
+// independent subplans (the per-branch document steps of a join query,
+// the lifted arms of conditionals, the aggregates of a constructor's
+// attribute list) share nothing but their leaves, and MonetDB's MIL
+// interpreter would happily run them on one core. Here each operator
+// becomes a schedulable task: a topological pass assigns dependency
+// counts, leaves enter a ready queue, and a bounded worker pool drains
+// it, releasing consumers as their last input materializes. Every
+// operator is applied exactly once per evaluation, since shared subplans
+// are shared plan nodes and hence single scheduler nodes.
 
 // OpStat is the per-operator instrumentation record the scheduler (and
-// the sequential evaluator) attach to a traced evaluation.
+// the sequential executor) attach to a traced evaluation.
 type OpStat struct {
 	Wall       time.Duration // time spent applying the operator
 	RowsIn     int           // total input rows across all inputs
 	RowsOut    int           // rows produced
 	Worker     int           // worker that ran it (0 on the sequential path)
-	Kernel     string        // physical kernel that actually ran ("" on the legacy path)
+	Kernel     string        // physical kernel that actually ran
 	RowsMat    int           // rows this kernel materialized (gathered/copied), vs. scanned in place
 	Morsels    int           // input morsels the kernel split into (0 = unsplit)
 	ParWorkers int           // largest morsel team that ran inside the kernel (0 = sequential)
@@ -62,13 +59,6 @@ func newTrace() *Trace {
 		Tables: make(map[*algebra.Op]*bat.Table),
 		Stats:  make(map[*algebra.Op]OpStat),
 	}
-}
-
-func (tr *Trace) record(o *algebra.Op, t *bat.Table, st OpStat) {
-	tr.mu.Lock()
-	tr.Tables[o] = t
-	tr.Stats[o] = st
-	tr.mu.Unlock()
 }
 
 // recordStat stores scheduling statistics without an intermediate table —
@@ -109,129 +99,4 @@ func EnvWorkers() int {
 		return 0
 	}
 	return n
-}
-
-// schedNode is the scheduler's view of one operator: its inputs and
-// consumers as indices into the topological order, and the number of
-// inputs still being computed.
-type schedNode struct {
-	op        *algebra.Op
-	in        []int // input indices, one per In edge (duplicates preserved)
-	consumers []int // consumer indices, one per consuming edge
-	pending   atomic.Int32
-}
-
-// evalParallel runs the plan DAG on a bounded worker pool. Results live
-// in a slice indexed by topological position; each slot is written by
-// exactly one worker before any consumer is released (the release
-// happens through an atomic dependency counter followed by a channel
-// send, both of which establish the necessary happens-before edges), so
-// the memo needs no lock of its own.
-func (e *Engine) evalParallel(ctx context.Context, root *algebra.Op, tr *Trace) (*bat.Table, error) {
-	order := algebra.Topo(root)
-	n := len(order)
-	index := make(map[*algebra.Op]int, n)
-	for i, o := range order {
-		index[o] = i
-	}
-	nodes := make([]schedNode, n)
-	for i, o := range order {
-		nd := &nodes[i]
-		nd.op = o
-		nd.in = make([]int, len(o.In))
-		for k, child := range o.In {
-			ci := index[child]
-			nd.in[k] = ci
-			nodes[ci].consumers = append(nodes[ci].consumers, i)
-		}
-		nd.pending.Store(int32(len(o.In)))
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// ready is buffered to the full node count so completion-time sends
-	// never block a worker.
-	ready := make(chan int, n)
-	for i := range nodes {
-		if len(nodes[i].in) == 0 {
-			ready <- i
-		}
-	}
-
-	results := make([]*bat.Table, n)
-	var (
-		completed atomic.Int32
-		done      = make(chan struct{})
-		errOnce   sync.Once
-		evalErr   error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			evalErr = err
-			cancel()
-		})
-	}
-
-	workers := e.workerCount()
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case i := <-ready:
-					nd := &nodes[i]
-					in := make([]*bat.Table, len(nd.in))
-					for k, ci := range nd.in {
-						in[k] = results[ci]
-					}
-					start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
-					t, err := e.apply(ctx, nd.op, in)
-					if err != nil {
-						fail(fmt.Errorf("%s: %w", nd.op.Kind, err))
-						return
-					}
-					results[i] = t
-					if tr != nil {
-						tr.record(nd.op, t, OpStat{
-							//pfvet:allow determinism -- trace wall-time only, not query results
-							Wall: time.Since(start), RowsIn: rowsIn(in),
-							RowsOut: t.Rows(), Worker: worker,
-						})
-					}
-					for _, ci := range nd.consumers {
-						if nodes[ci].pending.Add(-1) == 0 {
-							ready <- ci
-						}
-					}
-					if int(completed.Add(1)) == n {
-						close(done)
-					}
-				}
-			}
-		}(w)
-	}
-
-	select {
-	case <-done:
-	case <-ctx.Done():
-	}
-	cancel()
-	wg.Wait()
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	if err := ctx.Err(); err != nil && completed.Load() != int32(n) {
-		// Cancelled from outside (caller's context or Deadline), not by a
-		// worker failure.
-		return nil, err
-	}
-	return results[n-1], nil
 }

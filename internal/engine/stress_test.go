@@ -56,7 +56,7 @@ func sumCol(t *testing.T, tb *bat.Table, col string) int64 {
 }
 
 // TestMemoizationExactlyOnce proves each operator of a DAG with shared
-// subplans is applied exactly once per evaluation, on both evaluators.
+// subplans is applied exactly once per evaluation, sequential and parallel.
 func TestMemoizationExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -182,8 +182,8 @@ func TestCancellationMidOperator(t *testing.T) {
 }
 
 // TestDeadlineExceededSurfaces checks an already-expired deadline aborts
-// evaluation with context.DeadlineExceeded on both evaluators (the
-// engine's legacy Deadline field routes through the same context now).
+// evaluation with context.DeadlineExceeded, sequential and parallel (the
+// engine's Deadline field routes through the evaluation context).
 func TestDeadlineExceededSurfaces(t *testing.T) {
 	root := fanOutPlan(t, 8)
 	for _, workers := range []int{1, 8} {

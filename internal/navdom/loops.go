@@ -12,6 +12,10 @@ import (
 	"pathfinder/internal/xqcore"
 )
 
+// maxRangeWidth bounds hi-lo for one `to` expansion — the same limit the
+// relational engine enforces — so a single range cannot exhaust memory.
+const maxRangeWidth = 50_000_000
+
 // evalFor is the nested-loop FLWOR evaluation of a navigational engine:
 // the binding sequence is materialized, then the body is re-evaluated once
 // per binding — "in a sense only ... nested loop, i.e., recursive,
@@ -463,9 +467,19 @@ func (ip *Interp) evalCall(x *xqcore.Call, en *env) ([]Item, error) {
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("range over non-integer bounds")
 		}
+		if hi < lo {
+			return nil, nil
+		}
+		// The width is computed in uint64 and the loop counts offsets up
+		// to it, so bounds near ±MaxInt64 neither overflow the size guard
+		// nor wrap the loop variable.
+		w := uint64(hi) - uint64(lo)
+		if w > maxRangeWidth {
+			return nil, fmt.Errorf("range %d..%d too large", lo, hi)
+		}
 		var out []Item
-		for k := lo; k <= hi; k++ {
-			out = append(out, atomic(bat.Int(k)))
+		for j := int64(0); j <= int64(w); j++ {
+			out = append(out, atomic(bat.Int(lo+j)))
 		}
 		return out, nil
 	case "intersect", "except":

@@ -3,7 +3,9 @@ package navdom
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"pathfinder/internal/core"
 	"pathfinder/internal/engine"
@@ -13,7 +15,7 @@ import (
 	"pathfinder/internal/xqcore"
 )
 
-// runOptimized runs the relational pipeline with the peephole optimizer in
+// runOptimized runs the relational pipeline with the optimizer in
 // the loop, for three-way differential checks.
 func runOptimized(src string, eng *engine.Engine, opts xqcore.Options) (string, error) {
 	plan, _, err := core.CompileQuery(src, opts)
@@ -256,7 +258,7 @@ func TestDifferentialEngines(t *testing.T) {
 			t.Errorf("%s:\n relational   = %q\n navigational = %q", src, rel, nav)
 			continue
 		}
-		// Three-way: the peephole optimizer must not change results.
+		// Three-way: the optimizer must not change results.
 		optd, errO := runOptimized(src, eng, opts)
 		if errO != nil {
 			t.Errorf("%s: optimized pipeline error: %v", src, errO)
@@ -412,6 +414,44 @@ func TestQuickRandomDifferential(t *testing.T) {
 		if errO != nil || optd != rel {
 			t.Fatalf("query %d %s: optimizer divergence: %q vs %q (err %v)",
 				i, src, rel, optd, errO)
+		}
+	}
+}
+
+// TestRangeNearMaxInt64 pins `to` at the int64 edges: a range ending at
+// MaxInt64 must stop there instead of wrapping, and the size guard must
+// not overflow on the widest bounds. The interpreter's range loop takes
+// no context, so a watchdog aborts the test binary if a case does not
+// return promptly rather than letting a wrapped range run unbounded.
+func TestRangeNearMaxInt64(t *testing.T) {
+	cases := []struct {
+		query, want, wantErr string
+	}{
+		{query: `count(9223372036854775806 to 9223372036854775807)`, want: "2"},
+		{query: `9223372036854775806 to 9223372036854775807`, want: "9223372036854775806 9223372036854775807"},
+		{query: `count(-9223372036854775807 to 9223372036854775807)`, wantErr: "too large"},
+	}
+	for _, c := range cases {
+		done := make(chan struct{})
+		var got string
+		var err error
+		go func() {
+			defer close(done)
+			got, err = NewInterp(NewDB()).Run(c.query, xqcore.Options{})
+		}()
+		select {
+		case <-done:
+		case <-time.After(250 * time.Millisecond):
+			panic(fmt.Sprintf("navdom: %s did not terminate", c.query))
+		}
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("%s: err = %v, want %q", c.query, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("%s = %q, %v; want %q", c.query, got, err, c.want)
 		}
 	}
 }

@@ -50,26 +50,6 @@ func Optimize(root *algebra.Op) (*algebra.Op, error) {
 	return res.Plan, nil
 }
 
-// Peephole is the pre-pipeline optimizer — one CSE + prune/fuse sweep
-// with no join graph isolation. It is kept as the `-no-opt-pipeline`
-// escape hatch on pf and pfserver, and as the baseline the plan
-// benchmark (internal/bench) measures the pipeline against.
-func Peephole(root *algebra.Op) (*algebra.Op, error) {
-	shared := cse(root)
-	r, err := pruneAndFuse(shared)
-	if err != nil {
-		return nil, err
-	}
-	r = cse(r)
-	if algebra.CountOps(r) > algebra.CountOps(shared) {
-		r = shared
-	}
-	if err := algebra.Validate(r); err != nil {
-		return nil, fmt.Errorf("optimizer produced an invalid plan: %w", err)
-	}
-	return r, nil
-}
-
 // cse shares structurally identical subplans — the rewriting MonetDB gets
 // for free from MIL variable reuse.
 func cse(root *algebra.Op) *algebra.Op {

@@ -149,8 +149,7 @@ func Pipeline(root *algebra.Op) (Result, error) {
 }
 
 // normalize is one CSE + prune/fuse sweep with the per-round size guard
-// (identical rewrites to the legacy Peephole, minus final validation —
-// the pipeline validates once at the end).
+// (no validation — the pipeline validates once at the end).
 func normalize(root *algebra.Op) (*algebra.Op, error) {
 	shared := cse(root)
 	r, err := pruneAndFuse(shared)

@@ -13,41 +13,6 @@ import (
 	"pathfinder/internal/xqcore"
 )
 
-// TestPipelineBeatsPeephole pins the tentpole claim: on the join-heavy
-// XMark queries the staged pipeline (join graph isolation) removes
-// operators the single-shot peephole cannot see, and never does worse on
-// any query.
-func TestPipelineBeatsPeephole(t *testing.T) {
-	opts := xqcore.Options{ContextDoc: "xmark.xml"}
-	improved := 0
-	for n := 1; n <= xmark.NumQueries; n++ {
-		plan, _, err := core.CompileQuery(xmark.Query(n), opts)
-		if err != nil {
-			t.Fatalf("Q%d: %v", n, err)
-		}
-		peep, err := opt.Peephole(plan)
-		if err != nil {
-			t.Fatalf("Q%d: peephole: %v", n, err)
-		}
-		res, err := opt.Pipeline(plan)
-		if err != nil {
-			t.Fatalf("Q%d: pipeline: %v", n, err)
-		}
-		p, q := algebra.CountOps(peep), algebra.CountOps(res.Plan)
-		if q > p {
-			t.Errorf("Q%d: pipeline grew the plan over peephole: %d -> %d", n, p, q)
-		}
-		if q < p {
-			improved++
-		}
-	}
-	// The join-heavy queries (q08–q12) must all collapse; in practice the
-	// isolation pass fires on every XMark query.
-	if improved < 5 {
-		t.Errorf("pipeline improved only %d/20 queries over peephole", improved)
-	}
-}
-
 // TestPipelineTrace asserts the per-pass trace names every pass and
 // reports consistent operator counts.
 func TestPipelineTrace(t *testing.T) {

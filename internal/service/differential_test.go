@@ -174,7 +174,7 @@ func TestServiceXMarkGolden(t *testing.T) {
 				if code, got := h.queryText(t, xmark.Query(n), "xmark.xml"); code != http.StatusOK || got != want {
 					t.Errorf("Q%d http-text: status=%d\n got  = %.300q\n want = %.300q", n, code, got, want)
 				}
-				if got, err := tcp.ExecXQ(xmark.Query(n), "xmark.xml"); err != nil || got != want {
+				if got, err := tcp.ExecXQReq(engine.QueryRequest{Query: xmark.Query(n), ContextDoc: "xmark.xml"}); err != nil || got != want {
 					t.Errorf("Q%d tcp-xq: err=%v\n got  = %.300q\n want = %.300q", n, err, got, want)
 				}
 			}
@@ -198,7 +198,7 @@ func TestServiceDialectDifferential(t *testing.T) {
 					if code, _ := h.queryJSON(t, q, "auction.xml"); code != http.StatusBadRequest {
 						t.Errorf("dialect[%d] %q: embedded failed (%v) but http status=%d", i, q, wantErr, code)
 					}
-					if _, err := tcp.ExecXQ(q, "auction.xml"); err == nil {
+					if _, err := tcp.ExecXQReq(engine.QueryRequest{Query: q, ContextDoc: "auction.xml"}); err == nil {
 						t.Errorf("dialect[%d] %q: embedded failed (%v) but TCP succeeded", i, q, wantErr)
 					}
 					continue
@@ -209,7 +209,7 @@ func TestServiceDialectDifferential(t *testing.T) {
 				if code, got := h.queryText(t, q, "auction.xml"); code != http.StatusOK || got != want {
 					t.Errorf("dialect[%d] %q http-text: status=%d\n got  = %.300q\n want = %.300q", i, q, code, got, want)
 				}
-				if got, err := tcp.ExecXQ(q, "auction.xml"); err != nil || got != want {
+				if got, err := tcp.ExecXQReq(engine.QueryRequest{Query: q, ContextDoc: "auction.xml"}); err != nil || got != want {
 					t.Errorf("dialect[%d] %q tcp-xq: err=%v\n got  = %.300q\n want = %.300q", i, q, err, got, want)
 				}
 			}

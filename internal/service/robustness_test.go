@@ -90,7 +90,9 @@ func TestConcurrentMixedClients(t *testing.T) {
 				}
 			} else {
 				tcp := h.dialTCP(t)
-				exec = func(q string) (string, error) { return tcp.ExecXQ(q, "auction.xml") }
+				exec = func(q string) (string, error) {
+					return tcp.ExecXQReq(engine.QueryRequest{Query: q, ContextDoc: "auction.xml"})
+				}
 			}
 			for round := 0; round < 4; round++ {
 				i := (c + round) % len(queries)
@@ -198,7 +200,7 @@ func TestTCPDisconnectCancels(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	tcp := h.dialTCP(t)
-	if got, err := tcp.ExecXQ(slowQuery, "auction.xml"); err != nil || got != slowAnswer {
+	if got, err := tcp.ExecXQReq(engine.QueryRequest{Query: slowQuery, ContextDoc: "auction.xml"}); err != nil || got != slowAnswer {
 		t.Fatalf("query after disconnect: %q, %v", got, err)
 	}
 }
@@ -389,7 +391,7 @@ func TestCompileErrorsAndCaching(t *testing.T) {
 		t.Fatalf("bad query: status=%d %q", code, body)
 	}
 	tcp := h.dialTCP(t)
-	if _, err := tcp.ExecXQ("for $x in", "auction.xml"); err == nil {
+	if _, err := tcp.ExecXQReq(engine.QueryRequest{Query: "for $x in", ContextDoc: "auction.xml"}); err == nil {
 		t.Fatal("bad query over TCP succeeded")
 	}
 
