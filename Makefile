@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify race golden fmt-check pfvet pfvet-sarif fuzz-smoke bench-parallel bench-morsel bench-morsel-smoke bench-service bench-store bench-fusion bench-fusion-smoke service-smoke store-smoke
+.PHONY: build test verify race golden fmt-check pfvet pfvet-sarif fuzz-smoke bench-build bench-morsel bench-morsel-smoke bench-service bench-store service-smoke store-smoke
 
 build:
 	$(GO) build ./...
@@ -21,10 +21,10 @@ fmt-check:
 
 # Project-specific static analysis (cmd/pfvet). Per-package checks
 # (shared-vector mutation, kernel determinism, context polling in row
-# loops, by-value sync state, map-order determinism, fused-loop
-# allocation) plus the interprocedural suite (lock ordering and
-# lock-across-I/O, columnar ownership on publish paths, goroutine
-# lifecycle/drain discipline, service-boundary error classification).
+# loops, by-value sync state, map-order determinism) plus the
+# interprocedural suite (lock ordering and lock-across-I/O, columnar
+# ownership on publish paths, goroutine lifecycle/drain discipline,
+# service-boundary error classification).
 # `go run ./cmd/pfvet -rules lockorder,errclass` runs a subset locally.
 pfvet:
 	$(GO) run ./cmd/pfvet
@@ -59,9 +59,12 @@ race-all:
 golden:
 	$(GO) test ./internal/engine -run TestXMarkGolden -update
 
-# Sequential-vs-parallel scheduler comparison; writes BENCH_parallel.json.
-bench-parallel:
-	$(GO) run ./cmd/xmarkbench -report parallel -sfs 0.1 -workers 8 -v
+# The end-to-end benchmark (perfbench/, run by perfbench/run.sh) is a
+# separate module compiled against the engine, physical, service and
+# store APIs; vet and build it so an API break fails here rather than
+# only in the benchmark pipeline.
+bench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null .
 
 # Intra-operator morsel parallelism sweep vs the single-worker physical
 # executor; writes BENCH_morsel.json with per-query morsel counts.
@@ -93,19 +96,6 @@ service-smoke:
 # (cpu_caveat-stamped on single-CPU hosts).
 bench-store:
 	$(GO) run ./cmd/xmarkbench -report store -sfs 0.1 -v
-
-# Fused-chain executor benchmark: identical optimized plans run with
-# fused chains as single vectorized loops vs one kernel at a time,
-# outputs byte-compared, rows materialized counted in both modes;
-# writes BENCH_fusion.json (cpu_caveat-stamped on single-CPU hosts).
-bench-fusion:
-	$(GO) run ./cmd/xmarkbench -report fusion -sfs 0.1 -repeat 5 -v
-
-# CI smoke: a tiny instance — any fused/unfused output mismatch, or a
-# fused run that materializes more rows than the per-operator run,
-# fails the run.
-bench-fusion-smoke:
-	$(GO) run ./cmd/xmarkbench -report fusion -sfs 0.01 -repeat 2 -fusion-out BENCH_fusion_smoke.json
 
 # CI smoke for the store path: persist a collection through one pfserver,
 # restart over the same catalog directory, and assert the second process

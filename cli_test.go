@@ -91,6 +91,12 @@ func TestCLIXmlgenAndPf(t *testing.T) {
 	}
 	if out := runTool(t, "pf", "-doc", doc, "-show", "explain", "count(//person)"); !strings.Contains(out, "mat ") {
 		t.Errorf("explain mode lacks kernel annotations: %q", out)
+	} else if strings.Contains(out, " 0 workers") {
+		t.Errorf("explain summary prints the unresolved worker setting: %q", out)
+	}
+	// The summary line reports the resolved pool size.
+	if out := runTool(t, "pf", "-workers", "3", "-doc", doc, "-show", "explain", "count(//person)"); !strings.Contains(out, " operators, 3 workers, ") {
+		t.Errorf("explain summary lacks the pool size: %q", out)
 	}
 	if out := runTool(t, "pf", "-doc", doc, "-show", "trace", "count(//person)"); !strings.Contains(out, "rows") {
 		t.Errorf("trace mode: %q", out)

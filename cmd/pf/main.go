@@ -52,7 +52,6 @@ func main() {
 		naive       = flag.Bool("naive", false, "disable the staircase join (tree-unaware axis evaluation)")
 		workers     = flag.Int("workers", engine.EnvWorkers(), "shared worker budget for the DAG scheduler and morsel teams (0 = GOMAXPROCS, 1 = sequential; also via PF_WORKERS)")
 		morselRows  = flag.Int("morsel-rows", 0, "morsel granularity for intra-operator parallelism (0 = default, <0 = disable)")
-		noFusion    = flag.Bool("no-fusion", false, "run fused operator chains one kernel at a time (executor switch; plans are identical)")
 		checkPlans  = flag.Bool("check", false, "validate plan invariants (schema, order/denseness, physical preconditions) before running, and assert them on live intermediates during execution")
 		timing      = flag.Bool("time", false, "print compile/execute timings to stderr")
 		interactive = flag.Bool("i", false, "interactive mode: read one query per line from stdin")
@@ -61,7 +60,7 @@ func main() {
 
 	cat := openCatalog(*storeDir, *collection)
 	if *interactive {
-		repl(*docPath, cat, *collection, *naive, *noOpt, *noFusion, *workers)
+		repl(*docPath, cat, *collection, *naive, *noOpt, *workers)
 		return
 	}
 	query := ""
@@ -159,7 +158,7 @@ func main() {
 		fatal("unknown -show mode %q", *show)
 	}
 
-	eng := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: *workers, MorselRows: *morselRows, Check: *checkPlans, NoFusion: *noFusion, Catalog: cat})
+	eng := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: *workers, MorselRows: *morselRows, Check: *checkPlans, Catalog: cat})
 	eng.Staircase = !*naive
 	// fn:doc loads named documents from the filesystem on demand; the
 	// -doc document resolves by its base name or full path.
@@ -203,9 +202,6 @@ func main() {
 			if st.Kernel != "" {
 				ann += fmt.Sprintf(", %s, mat %d", st.Kernel, st.RowsMat)
 			}
-			if st.FusedChain > 0 {
-				ann += fmt.Sprintf(", fused #%d [%d/%d]", st.FusedChain, st.FusedPos, st.FusedLen)
-			}
 			if st.Morsels > 1 {
 				ann += fmt.Sprintf(", %d morsels", st.Morsels)
 				if st.ParWorkers > 1 {
@@ -216,9 +212,8 @@ func main() {
 			return ann
 		}))
 		phys := physical.Lower(plan)
-		fmt.Printf("(%d operators, %d workers, %d pipeline breakers, %d fused chains)\n",
-			algebra.CountOps(plan), eng.Workers, phys.Breakers(), len(phys.Chains))
-		printFusedChains(phys, tr)
+		fmt.Printf("(%d operators, %d workers, %d pipeline breakers, %d chains)\n",
+			algebra.CountOps(plan), eng.WorkerCount(), phys.Breakers(), len(phys.Chains))
 		if optTrace != "" {
 			fmt.Print(optTrace)
 		}
@@ -238,28 +233,6 @@ func main() {
 	fmt.Println(out)
 	if *timing {
 		fmt.Fprintf(os.Stderr, "compile %v, execute %v\n", compileTime, execTime)
-	}
-}
-
-// printFusedChains summarizes each fused chain of the physical plan for
-// -show explain: membership, rows in at the head, rows out and rows
-// materialized at the boundary. A chain whose members report no fused
-// stats ran per operator (fusion off, tiny input, or a replay).
-func printFusedChains(phys *physical.Plan, tr *engine.Trace) {
-	for _, ch := range phys.Chains {
-		kernels := make([]string, len(ch.Nodes))
-		for i, nd := range ch.Nodes {
-			kernels[i] = nd.Kernel
-		}
-		head, hok := tr.Stats[ch.Head().Op]
-		tail, tok := tr.Stats[ch.Tail().Op]
-		if !hok || !tok || tail.FusedChain == 0 {
-			fmt.Printf("fused chain #%d: %s (ran per-operator)\n",
-				ch.ID, strings.Join(kernels, " → "))
-			continue
-		}
-		fmt.Printf("fused chain #%d: %s — %d rows in, %d out, %d materialized\n",
-			ch.ID, strings.Join(kernels, " → "), head.RowsIn, tail.RowsOut, tail.RowsMat)
 	}
 }
 
@@ -301,8 +274,8 @@ func bindCollection(eng *engine.Engine, collection string) *engine.Engine {
 // their own ad hoc queries", §4): the store persists across queries, so
 // documents load once and constructed fragments accumulate like in a
 // session against a running server.
-func repl(docPath string, cat *pfstore.Catalog, collection string, naive, noOpt, noFusion bool, workers int) {
-	eng := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: workers, NoFusion: noFusion, Catalog: cat})
+func repl(docPath string, cat *pfstore.Catalog, collection string, naive, noOpt bool, workers int) {
+	eng := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: workers, Catalog: cat})
 	eng.Staircase = !naive
 	eng.Resolve = fileResolver(docPath)
 	eng = bindCollection(eng, collection)

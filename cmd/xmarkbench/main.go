@@ -11,11 +11,6 @@
 //	xmarkbench -report storage
 //	xmarkbench -report all -queries 8,9,10,11,12
 //
-// The parallel report compares the sequential executor against the
-// parallel DAG scheduler and records the speedups as JSON:
-//
-//	xmarkbench -report parallel -sfs 0.1 -workers 8 -parallel-out BENCH_parallel.json
-//
 // The morsel report sweeps intra-operator worker counts against the
 // single-worker physical executor, recording per-query morsel counts.
 // -gomaxprocs raises runtime.GOMAXPROCS first, since a sweep recorded at
@@ -28,13 +23,6 @@
 // check on both stores:
 //
 //	xmarkbench -report store -sfs 0.1 -store-out BENCH_store.json
-//
-// The fusion report measures fused-chain execution against per-operator
-// execution of the identical optimized plans (the -no-fusion executor
-// switch): per-query wall time and rows materialized, outputs compared
-// byte-for-byte:
-//
-//	xmarkbench -report fusion -sfs 0.1 -fusion-out BENCH_fusion.json
 package main
 
 import (
@@ -51,15 +39,14 @@ import (
 
 func main() {
 	var (
-		report   = flag.String("report", "all", "table3, figure4, storage, csv, parallel, morsel, fusion, store, or all")
-		sfsFlag  = flag.String("sfs", "0.002,0.02,0.2", "comma-separated scale factors (parallel report uses the first)")
+		report   = flag.String("report", "all", "table3, figure4, storage, csv, morsel, store, or all")
+		sfsFlag  = flag.String("sfs", "0.002,0.02,0.2", "comma-separated scale factors (morsel and store reports use the first)")
 		queries  = flag.String("queries", "", "comma-separated query numbers (default all 20)")
 		budget   = flag.Duration("budget", 30*time.Second, "per-query time budget before DNF")
 		baseline = flag.Bool("baseline", true, "run the navigational baseline too")
 		optimize = flag.Bool("opt", true, "run plans through the staged optimizer pipeline (opt.Optimize)")
 		workers  = flag.Int("workers", engine.EnvWorkers(), "engine worker pool size (0 = GOMAXPROCS; also via PF_WORKERS)")
-		parOut   = flag.String("parallel-out", "BENCH_parallel.json", "where -report parallel writes its JSON record")
-		repeat   = flag.Int("repeat", 3, "parallel report: timing repetitions (best-of)")
+		repeat   = flag.Int("repeat", 3, "morsel and store reports: timing repetitions (best-of)")
 		verbose  = flag.Bool("v", false, "progress output on stderr")
 
 		morselOut  = flag.String("morsel-out", "BENCH_morsel.json", "where -report morsel writes its JSON record")
@@ -67,8 +54,7 @@ func main() {
 		gomaxprocs = flag.Int("gomaxprocs", 0, "raise runtime.GOMAXPROCS before benchmarking (0 = leave as-is)")
 		morselRows = flag.Int("morsel-rows", 0, "morsel granularity in rows (0 = engine default)")
 
-		storeOut  = flag.String("store-out", "BENCH_store.json", "where -report store writes its JSON record")
-		fusionOut = flag.String("fusion-out", "BENCH_fusion.json", "where -report fusion writes its JSON record")
+		storeOut = flag.String("store-out", "BENCH_store.json", "where -report store writes its JSON record")
 	)
 	flag.Parse()
 
@@ -95,26 +81,6 @@ func main() {
 		logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
-	}
-
-	if *report == "parallel" {
-		res, err := bench.RunParallel(bench.ParallelConfig{
-			SF: sfs[0], Queries: qs, Workers: *workers,
-			Repeat: *repeat, Optimize: *optimize, Verbose: logf,
-		})
-		if err != nil {
-			fatal("%v", err)
-		}
-		fmt.Println(res.ParallelTable())
-		payload, err := res.JSON()
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := os.WriteFile(*parOut, append(payload, '\n'), 0o644); err != nil {
-			fatal("write %s: %v", *parOut, err)
-		}
-		fmt.Printf("wrote %s\n", *parOut)
-		return
 	}
 
 	if *report == "morsel" {
@@ -195,56 +161,6 @@ func main() {
 		// perf number; fail the run so the CI smoke step catches it.
 		if !res.Match {
 			fatal("reopened store results differ from the fresh shred")
-		}
-		return
-	}
-
-	if *report == "fusion" {
-		res, err := bench.RunFusion(bench.FusionConfig{
-			SF: sfs[0], Queries: qs, Repeat: *repeat, Verbose: logf,
-		})
-		if err != nil {
-			fatal("%v", err)
-		}
-		if res.CPUCaveat != "" {
-			fmt.Fprintf(os.Stderr, "xmarkbench: WARNING: %s\n", res.CPUCaveat)
-		}
-		fmt.Println(res.FusionTable())
-		payload, err := res.JSON()
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := os.WriteFile(*fusionOut, append(payload, '\n'), 0o644); err != nil {
-			fatal("write %s: %v", *fusionOut, err)
-		}
-		fmt.Printf("wrote %s\n", *fusionOut)
-		// The report doubles as a differential + regression check: a fused
-		// run that errors, answers differently, or materializes more rows
-		// than the per-operator path fails the run (and with it the CI
-		// smoke step).
-		for _, c := range res.Queries {
-			if c.Err != "" {
-				fatal("Q%d: %s", c.Query, c.Err)
-			}
-			if !c.Match {
-				fatal("Q%d: fused output differs from per-operator output", c.Query)
-			}
-			if c.RowsMatFused > c.RowsMatUnfused {
-				fatal("Q%d: fusion materialized more rows than per-operator execution: %d > %d",
-					c.Query, c.RowsMatFused, c.RowsMatUnfused)
-			}
-		}
-		for _, c := range res.Micro {
-			if c.Err != "" {
-				fatal("%s: %s", c.Name, c.Err)
-			}
-			if !c.Match {
-				fatal("%s: fused output differs from per-operator output", c.Name)
-			}
-			if c.RowsMatFused > c.RowsMatUnfused {
-				fatal("%s: fusion materialized more rows than per-operator execution: %d > %d",
-					c.Name, c.RowsMatFused, c.RowsMatUnfused)
-			}
 		}
 		return
 	}

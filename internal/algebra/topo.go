@@ -52,28 +52,3 @@ func Consumers(root *Op) map[*Op][]*Op {
 	}
 	return out
 }
-
-// MaxWidth returns the size of the largest antichain layer of the DAG
-// under the longest-path-from-leaves leveling — a cheap upper-bound proxy
-// for how many operators can ever be runnable at once. The scheduler uses
-// it to size bookkeeping; plans with MaxWidth 1 are pure chains that gain
-// nothing from parallel dispatch.
-func MaxWidth(root *Op) int {
-	depth := make(map[*Op]int)
-	byLevel := make(map[int]int)
-	widest := 0
-	for _, o := range Topo(root) {
-		d := 0
-		for _, in := range o.In {
-			if depth[in]+1 > d {
-				d = depth[in] + 1
-			}
-		}
-		depth[o] = d
-		byLevel[d]++
-		if byLevel[d] > widest {
-			widest = byLevel[d]
-		}
-	}
-	return widest
-}

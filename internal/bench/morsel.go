@@ -7,11 +7,13 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"time"
 
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/core"
 	"pathfinder/internal/engine"
 	"pathfinder/internal/opt"
+	"pathfinder/internal/serialize"
 	"pathfinder/internal/xenc"
 	"pathfinder/internal/xmark"
 	"pathfinder/internal/xqcore"
@@ -262,4 +264,30 @@ func (r *MorselResults) MorselTable() string {
 		fmt.Fprintf(&sb, "geomean speedup: %.2fx\n", s.Geomean)
 	}
 	return sb.String()
+}
+
+// timeEval evaluates the plan repeat times and returns the serialized
+// result of the first run plus the best wall time.
+func timeEval(eng *engine.Engine, plan *algebra.Op, repeat int) (string, time.Duration, error) {
+	var out string
+	best := time.Duration(-1)
+	for i := 0; i < repeat; i++ {
+		start := time.Now()
+		t, err := eng.Eval(plan)
+		if err != nil {
+			return "", 0, err
+		}
+		s, err := serialize.Result(eng.Store, t)
+		if err != nil {
+			return "", 0, err
+		}
+		d := time.Since(start)
+		if best < 0 || d < best {
+			best = d
+		}
+		if i == 0 {
+			out = s
+		}
+	}
+	return out, best, nil
 }

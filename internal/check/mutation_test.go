@@ -309,8 +309,9 @@ var mutations = []mutation{
 		},
 	},
 	// --- fusion class: forged fused-chain metadata ---------------------
-	// Chains are executor metadata: a lying chain makes the fused loop
-	// thread a selection vector through an operator that cannot carry it.
+	// Chains claim a single-pass pipeline: a lying chain claims a
+	// selection vector can be threaded through an operator that cannot
+	// carry it.
 	{
 		name:  "fusion_breaker_inside_chain",
 		class: "fusion",

@@ -39,14 +39,14 @@ func Physical(p *physical.Plan) []Diag {
 	return diags
 }
 
-// physChains re-proves every fused chain the lowering published. The
-// executor runs a chain as one loop threading a selection vector from
-// the head's input to the tail's boundary, so each claim below is a
-// correctness precondition, not a preference: a breaker inside a chain
-// would need its whole input before producing a row, a multi-consumer
-// interior would hand a half-filtered view to an operator outside the
-// chain, and a mark after a filter would number the survivors instead
-// of the input positions.
+// physChains re-proves every fused chain the lowering published. A
+// chain is the contract of a single-pass pipeline from the head's input
+// to the tail's boundary, so each claim below is a structural
+// precondition, not a preference: a breaker inside a chain would need
+// its whole input before producing a row, a multi-consumer interior
+// would hand a half-filtered view to an operator outside the chain, and
+// a mark after a filter would number the survivors instead of the input
+// positions.
 func physChains(w *walker, p *physical.Plan) []Diag {
 	var diags []Diag
 	isNode := make(map[*physical.Node]bool, len(p.Nodes))
@@ -110,10 +110,9 @@ func physChains(w *walker, p *physical.Plan) []Diag {
 	return diags
 }
 
-// chainFusable is the validator's own list of chain-eligible kernels,
-// mirroring what the fused executor implements (a per-row unary
-// operator; ϱ only on its const-1 fast path) — not what
-// internal/physical claims.
+// chainFusable is the validator's own list of chain-eligible kernels
+// (a per-row unary operator; ϱ only on its const-1 fast path) — not
+// what internal/physical claims.
 func chainFusable(nd *physical.Node) bool {
 	switch nd.Op.Kind {
 	case algebra.OpSelect, algebra.OpProject, algebra.OpFun, algebra.OpRowID:

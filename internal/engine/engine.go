@@ -78,15 +78,6 @@ type Engine struct {
 	// means DefaultMorselRows; negative disables morsel parallelism.
 	MorselRows int
 
-	// NoFusion disables fused-chain execution: every physical operator
-	// runs its own kernel even where the lowering identified a fusable
-	// chain. Fusion is an executor-time switch, not a lowering switch —
-	// plans (and the shared plan cache) are identical either way, the
-	// executor just ignores the chain metadata. The escape hatch behind
-	// pf/pfserver -no-fusion, and the baseline the fusion benchmark and
-	// differential tests compare against.
-	NoFusion bool
-
 	// Check enables runtime invariant assertions: after every kernel, the
 	// output's columns are checked against the operator's declared schema,
 	// and the sortedness/strictness/denseness bits the plan carries are
@@ -113,9 +104,9 @@ type Engine struct {
 type engineShared struct {
 	// working counts the pool workers currently executing an operator —
 	// the shared budget between the DAG scheduler and the morsel teams.
-	// Operator hosts hold one slot while running a kernel; morsel teams
-	// reserve only the spare slots (see reserveWorkers), so both
-	// parallelism levels together never exceed workerCount goroutines.
+	// Unit hosts hold one slot while running a unit's kernels; morsel
+	// teams reserve only the spare slots (see reserveWorkers), so both
+	// parallelism levels together never exceed WorkerCount goroutines.
 	working atomic.Int32
 
 	// queries counts the evaluations currently in flight — the per-query
@@ -139,7 +130,6 @@ type Config struct {
 	Workers      int     // worker pool size; 0 = GOMAXPROCS
 	SeqThreshold int     // sequential-fallback operator count; 0 = DefaultSeqThreshold
 	MorselRows   int     // morsel size; 0 = DefaultMorselRows, negative disables
-	NoFusion     bool    // disable fused-chain execution (run every kernel standalone)
 	Check        bool    // assert schema/order/denseness invariants on live intermediates
 	Catalog      Catalog // collection-name resolver for ForCollection; nil = no named collections
 }
@@ -162,7 +152,6 @@ func NewWithConfig(store *xenc.Store, cfg Config) *Engine {
 	e.Workers = cfg.Workers
 	e.SeqThreshold = cfg.SeqThreshold
 	e.MorselRows = cfg.MorselRows
-	e.NoFusion = cfg.NoFusion
 	e.Check = cfg.Check
 	e.Cat = cfg.Catalog
 	return e
@@ -258,7 +247,7 @@ func (e *Engine) run(ctx context.Context, root *algebra.Op, traced bool) (*bat.T
 		tr = newTrace()
 	}
 	plan := e.Lowered(root)
-	if e.workerCount() <= 1 || len(plan.Nodes) < e.seqThreshold() {
+	if e.WorkerCount() <= 1 || len(plan.Nodes) < e.seqThreshold() {
 		res, err := e.physSequential(ctx, plan, tr)
 		return res, tr, err
 	}

@@ -77,14 +77,6 @@ func (e *Engine) applyFun(o *algebra.Op, args []bat.Vec, row int) (bat.Item, err
 	if len(args) > 2 {
 		c = args[2].ItemAt(row)
 	}
-	return e.applyFunItems(o, a, b, c)
-}
-
-// applyFunItems is the per-item body of ⊛, factored out of applyFun so
-// the fused-chain lane kernels can evaluate a function over already
-// fetched items. c is only consulted by the three-argument functions
-// (fn:substring with length).
-func (e *Engine) applyFunItems(o *algebra.Op, a, b, c bat.Item) (bat.Item, error) {
 	switch o.Fun {
 	case algebra.FunAdd, algebra.FunSub, algebra.FunMul, algebra.FunDiv,
 		algebra.FunIDiv, algebra.FunMod:

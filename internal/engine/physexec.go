@@ -39,165 +39,107 @@ type physOut struct {
 	workers int // largest morsel team size (0 = never ran parallel)
 }
 
-// execUnit is one schedulable unit of a physical plan: a single node,
-// or a whole fused chain (nd is then the chain's tail, whose output is
-// the unit's). Chain interiors are not units — their results exist only
-// as lanes inside the fused loop.
-type execUnit struct {
-	nd    *physical.Node
-	chain *physical.FusedChain
-}
+// execUnit is one scheduling unit of a physical plan: a single node, or
+// the members of a discovered physical.FusedChain in chain order. A unit
+// is one DAG task — its members run back to back on the worker that
+// claimed it, each through its ordinary kernel — and its last member's
+// output is the unit's.
+type execUnit []*physical.Node
 
-func (u execUnit) inputs() []*physical.Node {
-	if u.chain != nil {
-		return u.chain.Head().In
-	}
-	return u.nd.In
-}
+func (u execUnit) tail() *physical.Node { return u[len(u)-1] }
 
-// planUnits folds the plan's fused chains into execution units. With
-// fusion disabled (or no chains discovered) every node is its own unit
-// through the identical code path — the tiny-input fast path pays no
-// fusion setup cost whatsoever.
-func (e *Engine) planUnits(plan *physical.Plan) []execUnit {
-	if e.NoFusion || len(plan.Chains) == 0 {
-		units := make([]execUnit, len(plan.Nodes))
-		for i, nd := range plan.Nodes {
-			units[i] = execUnit{nd: nd}
-		}
-		return units
-	}
-	interior := make(map[*physical.Node]bool)
-	tailOf := make(map[*physical.Node]*physical.FusedChain)
-	for _, ch := range plan.Chains {
-		for _, nd := range ch.Nodes[:len(ch.Nodes)-1] {
-			interior[nd] = true
-		}
-		tailOf[ch.Tail()] = ch
-	}
+// planUnits groups the plan's nodes into scheduling units in topological
+// order: every chain becomes one unit (placed at its tail), every other
+// node its own. Keeping a chain on one worker saves a scheduler hand-off
+// per link, since an interior's only consumer is the next member.
+func planUnits(plan *physical.Plan) []execUnit {
 	units := make([]execUnit, 0, len(plan.Nodes))
-	for _, nd := range plan.Nodes {
-		if interior[nd] {
-			continue
+	chainOf := make(map[*physical.Node]*physical.FusedChain)
+	for _, ch := range plan.Chains {
+		for _, nd := range ch.Nodes {
+			chainOf[nd] = ch
 		}
-		units = append(units, execUnit{nd: nd, chain: tailOf[nd]})
+	}
+	for i, nd := range plan.Nodes {
+		switch ch := chainOf[nd]; {
+		case ch == nil:
+			units = append(units, plan.Nodes[i:i+1])
+		case nd == ch.Tail():
+			units = append(units, ch.Nodes)
+		}
 	}
 	return units
+}
+
+// nodeSlots maps every plan node to its position in plan.Nodes — the
+// index of its slot in the drivers' results slice.
+func nodeSlots(plan *physical.Plan) map[*physical.Node]int {
+	slots := make(map[*physical.Node]int, len(plan.Nodes))
+	for i, nd := range plan.Nodes {
+		slots[nd] = i
+	}
+	return slots
 }
 
 // physSequential executes the plan units in topological order on the
 // calling goroutine — the fallback for small plans and single-worker
 // engines.
 func (e *Engine) physSequential(ctx context.Context, plan *physical.Plan, tr *Trace) (*bat.Table, error) {
-	units := e.planUnits(plan)
-	results := make(map[*physical.Node]*bat.View, len(plan.Nodes))
-	var chainIn map[*physical.FusedChain]*bat.View
+	slots := nodeSlots(plan)
+	results := make([]*bat.View, len(plan.Nodes))
 	if tr != nil {
-		chainIn = make(map[*physical.FusedChain]*bat.View)
-		defer e.fillTraceTables(tr, plan,
-			func(nd *physical.Node) *bat.View { return results[nd] },
-			func(ch *physical.FusedChain) *bat.View { return chainIn[ch] })
+		defer fillTraceTables(tr, plan, results)
 	}
-	for _, u := range units {
-		if err := ctx.Err(); err != nil {
+	for _, u := range planUnits(plan) {
+		if err := e.runUnit(ctx, u, slots, results, tr, 0); err != nil {
 			return nil, err
 		}
-		if u.chain != nil {
-			in := results[u.chain.Input()]
-			if chainIn != nil {
-				chainIn[u.chain] = in
-			}
-			// execChain errors arrive pre-wrapped with the failing
-			// member's operator kind.
-			out, err := e.execChain(ctx, u.chain, in, tr, 0)
-			if err != nil {
-				return nil, err
-			}
-			results[u.nd] = out
-			continue
-		}
-		nd := u.nd
-		in := make([]*bat.View, len(nd.In))
-		for i, c := range nd.In {
-			in[i] = results[c]
-		}
-		start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
-		out, err := e.execNode(ctx, nd, in)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", nd.Op.Kind, err)
-		}
-		results[nd] = out.view
-		if tr != nil {
-			tr.recordStat(nd.Op, OpStat{
-				//pfvet:allow determinism -- trace wall-time only, not query results
-				Wall: time.Since(start), RowsIn: viewRowsIn(in),
-				RowsOut: out.view.Rows(), Worker: 0,
-				Kernel: out.kernel, RowsMat: out.mat,
-				Morsels: out.morsels, ParWorkers: out.workers,
-			})
-		}
 	}
-	return results[plan.Root].Materialize(), nil
+	return results[slots[plan.Root]].Materialize(), nil
 }
 
 // physParallel runs the physical DAG on the bounded worker pool:
-// topological dependency counts, a buffered ready queue, and first-error
-// cancellation, with views in the results slots. Each slot is written by
-// exactly one worker before any consumer is released (the release
-// happens through an atomic dependency counter followed by a channel
-// send, both of which establish the necessary happens-before edges), so
-// the results need no lock of their own.
+// topological dependency counts over the units, a buffered ready queue,
+// and first-error cancellation, with views in the results slots. Each
+// slot is written by exactly one worker before any consumer is released
+// (the release happens through an atomic dependency counter followed by
+// a channel send, both of which establish the necessary happens-before
+// edges), so the results need no lock of their own.
 func (e *Engine) physParallel(ctx context.Context, plan *physical.Plan, tr *Trace) (*bat.Table, error) {
-	units := e.planUnits(plan)
+	units := planUnits(plan)
 	n := len(units)
-	index := make(map[*physical.Node]int, n)
+	unitOf := make(map[*physical.Node]int, n)
 	for i, u := range units {
-		index[u.nd] = i
+		unitOf[u.tail()] = i
 	}
-	type pNode struct {
-		u         execUnit
-		in        []int
+	type pUnit struct {
 		consumers []int
 		pending   atomic.Int32
 	}
-	nodes := make([]pNode, n)
+	deps := make([]pUnit, n)
 	for i, u := range units {
-		p := &nodes[i]
-		p.u = u
-		ins := u.inputs()
-		p.in = make([]int, len(ins))
-		for k, c := range ins {
-			ci := index[c]
-			p.in[k] = ci
-			nodes[ci].consumers = append(nodes[ci].consumers, i)
+		ins := u[0].In
+		for _, c := range ins {
+			ci := unitOf[c]
+			deps[ci].consumers = append(deps[ci].consumers, i)
 		}
-		p.pending.Store(int32(len(ins)))
+		deps[i].pending.Store(int32(len(ins)))
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	ready := make(chan int, n)
-	for i := range nodes {
-		if len(nodes[i].in) == 0 {
+	for i, u := range units {
+		if len(u[0].In) == 0 {
 			ready <- i
 		}
 	}
 
-	results := make([]*bat.View, n)
-	// chainIn retains each chain's input view for the trace replay; each
-	// slot has a single writer (the worker that runs the chain's unit).
-	chainIn := make([]*bat.View, n)
+	slots := nodeSlots(plan)
+	results := make([]*bat.View, len(plan.Nodes))
 	if tr != nil {
-		defer e.fillTraceTables(tr, plan,
-			func(nd *physical.Node) *bat.View {
-				i, ok := index[nd]
-				if !ok {
-					return nil // chain interior: no live view
-				}
-				return results[i]
-			},
-			func(ch *physical.FusedChain) *bat.View { return chainIn[index[ch.Tail()]] })
+		defer fillTraceTables(tr, plan, results)
 	}
 	var (
 		completed atomic.Int32
@@ -212,7 +154,7 @@ func (e *Engine) physParallel(ctx context.Context, plan *physical.Plan, tr *Trac
 		})
 	}
 
-	workers := e.workerCount()
+	workers := e.WorkerCount()
 	if workers > n {
 		workers = n
 	}
@@ -226,49 +168,12 @@ func (e *Engine) physParallel(ctx context.Context, plan *physical.Plan, tr *Trac
 				case <-ctx.Done():
 					return
 				case i := <-ready:
-					p := &nodes[i]
-					in := make([]*bat.View, len(p.in))
-					for k, ci := range p.in {
-						in[k] = results[ci]
-					}
-					if p.u.chain != nil {
-						chainIn[i] = in[0]
-						// execChain errors arrive pre-wrapped with the
-						// failing member's operator kind.
-						v, err := e.execChain(ctx, p.u.chain, in[0], tr, worker)
-						if err != nil {
-							fail(err)
-							return
-						}
-						results[i] = v
-						for _, ci := range p.consumers {
-							if nodes[ci].pending.Add(-1) == 0 {
-								ready <- ci
-							}
-						}
-						if int(completed.Add(1)) == n {
-							close(done)
-						}
-						continue
-					}
-					start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
-					out, err := e.execNode(ctx, p.u.nd, in)
-					if err != nil {
-						fail(fmt.Errorf("%s: %w", p.u.nd.Op.Kind, err))
+					if err := e.runUnit(ctx, units[i], slots, results, tr, worker); err != nil {
+						fail(err)
 						return
 					}
-					results[i] = out.view
-					if tr != nil {
-						tr.recordStat(p.u.nd.Op, OpStat{
-							//pfvet:allow determinism -- trace wall-time only, not query results
-							Wall: time.Since(start), RowsIn: viewRowsIn(in),
-							RowsOut: out.view.Rows(), Worker: worker,
-							Kernel: out.kernel, RowsMat: out.mat,
-							Morsels: out.morsels, ParWorkers: out.workers,
-						})
-					}
-					for _, ci := range p.consumers {
-						if nodes[ci].pending.Add(-1) == 0 {
+					for _, ci := range deps[i].consumers {
+						if deps[ci].pending.Add(-1) == 0 {
 							ready <- ci
 						}
 					}
@@ -292,7 +197,47 @@ func (e *Engine) physParallel(ctx context.Context, plan *physical.Plan, tr *Trac
 	if err := ctx.Err(); err != nil && completed.Load() != int32(n) {
 		return nil, err
 	}
-	return results[index[plan.Root]].Materialize(), nil
+	return results[slots[plan.Root]].Materialize(), nil
+}
+
+// runUnit executes one unit's members back to back, holding one slot of
+// the shared worker budget for the whole unit; kernels the lowering
+// marked Parallel may reserve spare slots for a morsel team through
+// their own handle. Every member's view lands in its results slot; a
+// chain interior, whose only consumer is the next member, is released as
+// soon as that member has run unless the trace wants its table. Errors
+// return wrapped with the failing member's operator kind.
+func (e *Engine) runUnit(ctx context.Context, u execUnit, slots map[*physical.Node]int, results []*bat.View, tr *Trace, worker int) error {
+	e.sh.working.Add(1)
+	defer e.sh.working.Add(-1)
+	for k, nd := range u {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		in := make([]*bat.View, len(nd.In))
+		for k, c := range nd.In {
+			in[k] = results[slots[c]]
+		}
+		start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
+		out, err := e.execNode(ctx, nd, in)
+		if err != nil {
+			return fmt.Errorf("%s: %w", nd.Op.Kind, err)
+		}
+		results[slots[nd]] = out.view
+		if k > 0 && tr == nil {
+			results[slots[u[k-1]]] = nil
+		}
+		if tr != nil {
+			tr.recordStat(nd.Op, OpStat{
+				//pfvet:allow determinism -- trace wall-time only, not query results
+				Wall: time.Since(start), RowsIn: viewRowsIn(in),
+				RowsOut: out.view.Rows(), Worker: worker,
+				Kernel: out.kernel, RowsMat: out.mat,
+				Morsels: out.morsels, ParWorkers: out.workers,
+			})
+		}
+	}
+	return nil
 }
 
 func viewRowsIn(in []*bat.View) int {
@@ -304,42 +249,13 @@ func viewRowsIn(in []*bat.View) int {
 }
 
 // fillTraceTables materializes the intermediate result of every completed
-// node into the trace — deferred until after execution so trace-mode
-// materialization never distorts the per-kernel RowsMat accounting.
-//
-// Fused-chain interiors have no live views (their rows only ever existed
-// as lanes inside the fused loop), so when a chain ran fused the trace
-// replays its interior per operator from the retained chain-input view.
-// The replay happens after every stat is recorded: the materialization
-// it forces is attributed to tracing, never to the chain's RowsMat.
-func (e *Engine) fillTraceTables(tr *Trace, plan *physical.Plan,
-	viewOf func(*physical.Node) *bat.View,
-	chainView func(*physical.FusedChain) *bat.View) {
-	for _, nd := range plan.Nodes {
-		if v := viewOf(nd); v != nil {
+// node (results is indexed like plan.Nodes) into the trace — deferred
+// until after execution so trace-mode materialization never distorts the
+// per-kernel RowsMat accounting.
+func fillTraceTables(tr *Trace, plan *physical.Plan, results []*bat.View) {
+	for i, nd := range plan.Nodes {
+		if v := results[i]; v != nil {
 			tr.setTable(nd.Op, v.Materialize())
-		}
-	}
-	if chainView == nil {
-		return
-	}
-	for _, ch := range plan.Chains {
-		in := chainView(ch)
-		if in == nil {
-			continue // chain never ran (error upstream) or fusion was off
-		}
-		cur := in
-		for i, nd := range ch.Nodes {
-			if i == len(ch.Nodes)-1 {
-				break // the tail's view is live and already captured above
-			}
-			ms := &morsels{e: e, ctx: context.Background(), par: false}
-			out, err := e.execKernel(context.Background(), nd, []*bat.View{cur}, ms)
-			if err != nil {
-				break // best effort: a failing chain traces what it can
-			}
-			tr.setTable(nd.Op, out.view.Materialize())
-			cur = out.view
 		}
 	}
 }
@@ -355,16 +271,12 @@ func matCount(v *bat.View) (*bat.Table, int) {
 	return t, t.Rows()
 }
 
-// execNode runs one physical operator over its input views. The host
-// holds one slot of the shared worker budget for itself while the
-// kernel runs; kernels the lowering marked Parallel may reserve spare
-// slots for a morsel team through the handle.
+// execNode runs one physical operator over its input views with its own
+// morsel handle; the caller (runUnit) holds the worker slot.
 func (e *Engine) execNode(ctx context.Context, nd *physical.Node, in []*bat.View) (physOut, error) {
 	if e.onApply != nil {
 		e.onApply(nd.Op)
 	}
-	e.sh.working.Add(1)
-	defer e.sh.working.Add(-1)
 	ms := &morsels{e: e, ctx: ctx, par: nd.Parallel}
 	out, err := e.execKernel(ctx, nd, in, ms)
 	if err != nil {

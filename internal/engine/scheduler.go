@@ -17,12 +17,13 @@ import (
 // independent subplans (the per-branch document steps of a join query,
 // the lifted arms of conditionals, the aggregates of a constructor's
 // attribute list) share nothing but their leaves, and MonetDB's MIL
-// interpreter would happily run them on one core. Here each operator
-// becomes a schedulable task: a topological pass assigns dependency
-// counts, leaves enter a ready queue, and a bounded worker pool drains
-// it, releasing consumers as their last input materializes. Every
-// operator is applied exactly once per evaluation, since shared subplans
-// are shared plan nodes and hence single scheduler nodes.
+// interpreter would happily run them on one core. Here each operator —
+// or each discovered operator chain, run back to back — becomes a
+// schedulable task: a topological pass assigns dependency counts, leaves
+// enter a ready queue, and a bounded worker pool drains it, releasing
+// consumers as their last input materializes. Every operator is applied
+// exactly once per evaluation, since shared subplans are shared plan
+// nodes and hence single scheduler nodes.
 
 // OpStat is the per-operator instrumentation record the scheduler (and
 // the sequential executor) attach to a traced evaluation.
@@ -35,16 +36,6 @@ type OpStat struct {
 	RowsMat    int           // rows this kernel materialized (gathered/copied), vs. scanned in place
 	Morsels    int           // input morsels the kernel split into (0 = unsplit)
 	ParWorkers int           // largest morsel team that ran inside the kernel (0 = sequential)
-
-	// Fused-chain membership: when the operator ran as part of a fused
-	// chain, FusedChain is the chain's 1-based id (0 = ran standalone),
-	// FusedPos its 1-based position in the chain, FusedLen the chain
-	// length. Interior members report their through-chain row counts with
-	// zero Wall/RowsMat; the tail carries the chain's wall time, morsel
-	// split, and the single boundary materialization.
-	FusedChain int
-	FusedPos   int
-	FusedLen   int
 }
 
 // Trace is the full instrumentation record of one evaluation.
@@ -77,9 +68,9 @@ func (tr *Trace) setTable(o *algebra.Op, t *bat.Table) {
 	tr.mu.Unlock()
 }
 
-// workerCount resolves the engine's configured pool size: Workers when
+// WorkerCount resolves the engine's configured pool size: Workers when
 // positive, otherwise GOMAXPROCS.
-func (e *Engine) workerCount() int {
+func (e *Engine) WorkerCount() int {
 	if e.Workers > 0 {
 		return e.Workers
 	}

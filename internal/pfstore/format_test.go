@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"pathfinder/internal/bat"
 	"pathfinder/internal/xenc"
 )
 
@@ -27,6 +28,15 @@ func sampleStore(t *testing.T) *xenc.Store {
 
 func TestSaveOpenRoundTrip(t *testing.T) {
 	src := sampleStore(t)
+	// A constructed fragment (no document registry entry) persists too.
+	fb := xenc.NewFragBuilder(src)
+	fb.StartElem("made")
+	fb.AddText("content")
+	fb.EndElem()
+	made, err := fb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "c.pfc")
 	if err := Save(path, src, "c", 7); err != nil {
 		t.Fatal(err)
@@ -84,6 +94,9 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	}
 	if got.StringValue(root) != src.StringValue(srcRoot) {
 		t.Fatal("string value differs after reopen")
+	}
+	if s := got.Serialize(bat.NodeRef{Frag: made, Pre: 0}); s != "<made>content</made>" {
+		t.Fatalf("constructed fragment after reopen = %q", s)
 	}
 }
 

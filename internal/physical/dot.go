@@ -11,7 +11,7 @@ import (
 // Pipeline operators are drawn with rounded corners, breakers
 // (materializing operators) as plain boxes. Members of a fused chain
 // are grouped into a cluster subgraph labeled with the chain id, so the
-// single-pass execution units are visible in the rendered plan.
+// scheduling units are visible in the rendered plan.
 func Dot(p *Plan) string {
 	ids := make(map[*Node]int, len(p.Nodes))
 	chainOf := make(map[*Node]*FusedChain)

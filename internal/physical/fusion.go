@@ -2,29 +2,23 @@ package physical
 
 import "pathfinder/internal/algebra"
 
-// Pipeline fusion (the MonetDB→X100 evolution applied to our kernels):
-// the loop-lifted plans are long chains of cheap per-row operators —
-// filters, maps, projections, mark/rownum fast paths — and executing
-// them one kernel at a time makes every link exchange a bat.View and
-// pay a full-column gather whenever the previous link narrowed the
-// selection. Lower identifies maximal chains of such operators and
-// records them on the plan as FusedChain metadata; the executor runs a
-// whole chain as a single loop over fixed-size vectors, carrying one
-// selection vector from the chain's input to its boundary and
-// materializing (at most) once.
+// Operator chains: the loop-lifted plans are long runs of cheap per-row
+// operators — filters, maps, projections, mark/rownum fast paths — each
+// feeding only the next. Lower identifies maximal chains of such
+// operators and records them on the plan as FusedChain metadata; the
+// executor schedules a whole chain as one task, running its members back
+// to back on one worker through their ordinary kernels, so a chain pays
+// one scheduler hand-off instead of one per link.
 //
 // The chains are metadata, not a plan rewrite: every member keeps its
 // Node (stats, Check, and the explain/dot output address members
-// individually), and an executor that ignores Chains — or is told to
-// via engine.Config{NoFusion} — runs the identical plan operator by
-// operator. That keeps the plan cache shared between fused and unfused
-// engines and makes -no-fusion a pure executor switch.
+// individually), and every member's output is an ordinary view.
 
 // FusedChain is one maximal fusable chain: Nodes[0] is the head (its
 // data input is the chain's input), Nodes[len-1] the tail (its output is
 // the chain's boundary). Interior members have exactly one consumer —
-// the next member — so the selection vector threaded through the chain
-// can never leak to an operator outside it.
+// the next member — so no interior view ever reaches an operator
+// outside the chain.
 type FusedChain struct {
 	ID    int // 1-based, in discovery (= topological) order
 	Nodes []*Node
@@ -39,31 +33,18 @@ func (c *FusedChain) Tail() *Node { return c.Nodes[len(c.Nodes)-1] }
 // Input returns the node producing the chain's input relation.
 func (c *FusedChain) Input() *Node { return c.Head().In[0] }
 
-// Parallel reports whether any member admits morsel decomposition — the
-// executor then makes the whole chain the morsel work unit.
-func (c *FusedChain) Parallel() bool {
-	for _, nd := range c.Nodes {
-		if nd.Parallel {
-			return true
-		}
-	}
-	return false
-}
-
 // FusedMinRows is the static gate below which chain formation is
-// skipped: a point lookup whose cardinality is known to be tiny must
-// pay zero fusion overhead (no vector buffers, no selection-vector
-// allocation), so tiny inputs keep the plain per-operator path. Reusing
-// the morsel gate keeps "tiny" meaning one thing across the executor.
+// skipped: a point lookup whose cardinality is known to be tiny keeps
+// the plain per-operator units. Reusing the morsel gate keeps "tiny"
+// meaning one thing across the executor.
 const FusedMinRows = ParallelMinRows
 
 // fusable reports whether a node may be a fused-chain member: a pure
 // unary per-row operator whose kernel reads input rows independently.
-// σ and π always qualify; ⊛ (map) qualifies for every function — the
-// executor falls back to per-operator execution for combinations its
-// lane kernels cannot reproduce; ϱ only on its const-1 fast path (the
-// sort and presorted kernels need the whole partition); the mark
-// operator qualifies but is position-sensitive — see discoverChains.
+// σ, π and ⊛ (map, every function) always qualify; ϱ only on its
+// const-1 fast path (the sort and presorted kernels need the whole
+// partition); the mark operator qualifies but is position-sensitive —
+// see discoverChains.
 func fusable(nd *Node) bool {
 	switch nd.Op.Kind {
 	case algebra.OpSelect, algebra.OpProject, algebra.OpFun, algebra.OpRowID:

@@ -1,7 +1,6 @@
 package xenc
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sort"
@@ -252,88 +251,6 @@ func (s *Store) AttrValueOf(n bat.NodeRef, name string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// Persistence ------------------------------------------------------------------
-
-// snapshot is the gob-encoded on-disk form of a store — the moral
-// equivalent of MonetDB's persisted BATs: load once, shred never again.
-type snapshot struct {
-	Frags []fragSnapshot
-	Docs  map[string]int32
-	Pools [4][]string // tags, attrNames, texts, attrVals
-}
-
-type fragSnapshot struct {
-	Name      string
-	Size      []int32
-	Level     []int32
-	Kind      []NodeKind
-	Prop      []int32
-	Parent    []int32
-	AttrOwner []int32
-	AttrName  []int32
-	AttrVal   []int32
-}
-
-// WriteSnapshot serializes the whole store (fragments, document registry,
-// surrogate pools).
-func (s *Store) WriteSnapshot(w io.Writer) error {
-	snap := snapshot{
-		Pools: [4][]string{s.tags.snapshot(), s.attrNames.snapshot(), s.texts.snapshot(), s.attrVals.snapshot()},
-	}
-	s.mu.RLock()
-	snap.Docs = make(map[string]int32, len(s.docs))
-	for u, id := range s.docs {
-		snap.Docs[u] = id
-	}
-	frags := append([]*Fragment(nil), s.frags...)
-	s.mu.RUnlock()
-	for _, f := range frags {
-		snap.Frags = append(snap.Frags, fragSnapshot{
-			Name: f.Name, Size: f.Size, Level: f.Level, Kind: f.Kind,
-			Prop: f.Prop, Parent: f.Parent,
-			AttrOwner: f.AttrOwner, AttrName: f.AttrName, AttrVal: f.AttrVal,
-		})
-	}
-	return gob.NewEncoder(w).Encode(&snap)
-}
-
-// ReadSnapshot restores a store previously written with WriteSnapshot.
-// The receiving store must be empty.
-func (s *Store) ReadSnapshot(r io.Reader) error {
-	if len(s.frags) != 0 || len(s.docs) != 0 {
-		return fmt.Errorf("ReadSnapshot: store is not empty")
-	}
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("ReadSnapshot: %w", err)
-	}
-	restorePool := func(p *pool, strs []string) {
-		for _, str := range strs {
-			p.Put(str)
-		}
-	}
-	restorePool(s.tags, snap.Pools[0])
-	restorePool(s.attrNames, snap.Pools[1])
-	restorePool(s.texts, snap.Pools[2])
-	restorePool(s.attrVals, snap.Pools[3])
-	for _, fs := range snap.Frags {
-		f := &Fragment{
-			Name: fs.Name, Size: fs.Size, Level: fs.Level, Kind: fs.Kind,
-			Prop: fs.Prop, Parent: fs.Parent,
-			AttrOwner: fs.AttrOwner, AttrName: fs.AttrName, AttrVal: fs.AttrVal,
-		}
-		f.sealAttrs()
-		if err := f.Validate(); err != nil {
-			return fmt.Errorf("ReadSnapshot: fragment %q: %w", fs.Name, err)
-		}
-		s.addFrag(f)
-	}
-	if snap.Docs != nil {
-		s.docs = snap.Docs
-	}
-	return nil
 }
 
 // Columnar exchange (internal/pfstore) ----------------------------------------

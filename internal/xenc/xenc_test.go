@@ -489,60 +489,6 @@ func TestWhitespaceOnlyTextDropped(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	s, doc := loadTiny(t)
-	// Add a constructed fragment so both kinds persist.
-	fb := NewFragBuilder(s)
-	fb.StartElem("made")
-	fb.AddText("content")
-	fb.EndElem()
-	frag, err := fb.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf strings.Builder
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored := NewStore()
-	if err := restored.ReadSnapshot(strings.NewReader(buf.String())); err != nil {
-		t.Fatal(err)
-	}
-	got, err := restored.Doc("tiny.xml")
-	if err != nil || got != doc {
-		t.Fatalf("doc registry: %v %v", got, err)
-	}
-	if restored.Serialize(doc) != tinyDoc {
-		t.Errorf("restored serialization = %q", restored.Serialize(doc))
-	}
-	if restored.Serialize(bat.NodeRef{Frag: frag, Pre: 0}) != "<made>content</made>" {
-		t.Error("constructed fragment lost")
-	}
-	// Surrogates still resolve identically.
-	if restored.TagID("site") != s.TagID("site") {
-		t.Error("tag surrogates diverged")
-	}
-	if restored.Report().Total() != s.Report().Total() {
-		t.Error("storage accounting diverged")
-	}
-}
-
-func TestSnapshotIntoNonEmptyStoreFails(t *testing.T) {
-	s, _ := loadTiny(t)
-	var buf strings.Builder
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ReadSnapshot(strings.NewReader(buf.String())); err == nil {
-		t.Error("reading into a non-empty store must fail")
-	}
-	fresh := NewStore()
-	if err := fresh.ReadSnapshot(strings.NewReader("garbage")); err == nil {
-		t.Error("corrupt snapshot must fail")
-	}
-}
-
 func TestPoolLookupMiss(t *testing.T) {
 	s, _ := loadTiny(t)
 	if s.TagID("nonexistent") != -1 {
